@@ -11,7 +11,10 @@
 #                  routing tier with GOMAXPROCS=4 so the par fan-out
 #                  paths, the gather-round leader/follower protocol,
 #                  and the router's splice/health/membership
-#                  concurrency are exercised even on 1-core CI
+#                  concurrency are exercised even on 1-core CI; then
+#                  stress-runs the serve and fabric acceptance tests
+#                  50 times each, since their counter assertions race
+#                  against reply delivery if the ordering regresses
 #   make debug   — tests with the chocodebug assertion layer compiled in
 #   make purego  — tests with the vector kernels compiled out (the
 #                  scalar-only build every non-amd64 target gets)
@@ -63,6 +66,7 @@ vet:
 race:
 	$(GO) test -race -shuffle=on ./...
 	GOMAXPROCS=4 $(GO) test -race -shuffle=on ./internal/par ./internal/ring ./internal/bfv ./internal/ckks ./internal/core ./internal/apps/distance ./internal/serve ./internal/fabric
+	GOMAXPROCS=4 $(GO) test -race -count=50 -run '^(TestFabricFleet|TestCountersBookedBeforeReply|TestConcurrentSessions|TestServeTCP)$$' ./internal/serve ./internal/fabric
 
 debug:
 	$(GO) test -race -shuffle=on -tags chocodebug ./internal/ring ./internal/bfv

@@ -3,6 +3,7 @@ package distance
 import (
 	"testing"
 
+	"choco/internal/core"
 	"choco/internal/protocol"
 )
 
@@ -46,5 +47,37 @@ func BenchmarkKNNClassify(b *testing.B) {
 			b.Fatal(err)
 		}
 		clientEnd.Close()
+	}
+}
+
+// BenchmarkSplitServeCollapsed times the split server's ServeOne on a
+// collapsed point-major query at the production preset and the
+// k-NN benchmark's geometry (32 points of 4 dimensions).
+func BenchmarkSplitServeCollapsed(b *testing.B) {
+	params := PresetDistance()
+	pts := synthPoints(32, 4, 3)
+	server, err := NewServer(params, pts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	client, err := NewClient(params, 32, 4, [32]byte{4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	installKeys(server, client)
+	qVec, err := packQuery(CollapsedPointMajor, []float64{0.5, -1, 1.5, 0}, 32, 4, params.Slots())
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := client.enc.EncryptFloats(qVec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ops core.OpCounts
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := server.serve(server.ev, CollapsedPointMajor, q, &ops); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

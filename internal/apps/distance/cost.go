@@ -50,15 +50,21 @@ func AnalyzeCost(variant Variant, m, d, slots int) Cost {
 		c.DownCts = cts
 		c.Server = core.OpCounts{CtMults: cts, Rotations: cts * log2(d), Adds: cts * log2(d)}
 	case CollapsedPointMajor:
-		// Stacked computation plus the per-point mask/rotate/add
-		// collapse — extra server work for a single dense download.
+		// Stacked computation plus the collapse — extra server work for
+		// a single dense download: every point but the first rotates
+		// into place (none moves when d = 1), every point is masked, and
+		// the m masked terms fold with m−1 adds.
 		c.UpCts = 1
 		c.DownCts = 1
+		repositions := 0
+		if d > 1 {
+			repositions = m - 1
+		}
 		c.Server = core.OpCounts{
 			CtMults:    groupsStacked,
-			Rotations:  groupsStacked*log2(d) + m,
+			Rotations:  groupsStacked*log2(d) + repositions,
 			PlainMults: m,
-			Adds:       groupsStacked*log2(d) + m,
+			Adds:       groupsStacked*log2(d) + m - 1,
 		}
 	}
 	return c

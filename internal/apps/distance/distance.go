@@ -10,7 +10,6 @@ package distance
 
 import (
 	"fmt"
-	"math"
 
 	"choco/internal/ckks"
 	"choco/internal/core"
@@ -52,78 +51,31 @@ func Variants() []Variant {
 }
 
 // Kernel evaluates encrypted distance queries against a server-side
-// point set.
+// point set, running client and server in one process.
 type Kernel struct {
-	ctx    *ckks.Context
-	enc    *ckks.Encryptor
-	dec    *ckks.Decryptor
-	ecd    *ckks.Encoder
-	ev     *ckks.Evaluator
-	points [][]float64
-	m      int // point count
-	d      int // dimensionality padded to a power of two
-	rawD   int
-	// maskScale is the low encoding scale of collapse masks, keeping
-	// the masked product within the level-0 modulus.
-	maskScale float64
+	*pointSet
+	enc *ckks.Encryptor
+	dec *ckks.Decryptor
+	ev  *ckks.Evaluator
 }
 
 // NewKernel builds a kernel over the point set, generating exactly the
 // rotation keys the five variants need.
 func NewKernel(params ckks.Parameters, points [][]float64, seed [32]byte) (*Kernel, error) {
-	if len(points) == 0 || len(points[0]) == 0 {
-		return nil, fmt.Errorf("distance: empty point set")
-	}
-	ctx, err := ckks.NewContext(params)
+	ps, err := newPointSet(params, points)
 	if err != nil {
 		return nil, err
 	}
-	m := len(points)
-	rawD := len(points[0])
-	d := nextPow2(rawD)
-	slots := ctx.Params.Slots()
-	if m*d > slots {
-		return nil, fmt.Errorf("distance: %d points × %d dims exceed %d slots", m, d, slots)
-	}
-	for _, p := range points {
-		if len(p) != rawD {
-			return nil, fmt.Errorf("distance: ragged point set")
-		}
-	}
-	kg := ckks.NewKeyGenerator(ctx, seed)
+	kg := ckks.NewKeyGenerator(ps.ctx, seed)
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
 	relin := kg.GenRelinearizationKey(sk)
-
-	stepSet := map[int]bool{}
-	for s := 1; s < slots; s <<= 1 {
-		stepSet[s] = true // in-block and cross-block reductions
-	}
-	perCt := slots / d
-	for i := 0; i < m; i++ {
-		blockSlot := (i % perCt) * d
-		s := ((blockSlot-i)%slots + slots) % slots
-		if s != 0 {
-			stepSet[s] = true // collapse repositioning
-		}
-	}
-	steps := make([]int, 0, len(stepSet))
-	for s := range stepSet {
-		steps = append(steps, s)
-	}
-	galois := kg.GenRotationKeys(sk, steps...)
-
+	galois := kg.GenRotationKeys(sk, rotationSteps(ps.m, ps.d, ps.ctx.Params.Slots())...)
 	return &Kernel{
-		ctx:       ctx,
-		enc:       ckks.NewEncryptor(ctx, pk, seed),
-		dec:       ckks.NewDecryptor(ctx, sk),
-		ecd:       ckks.NewEncoder(ctx),
-		ev:        ckks.NewEvaluator(ctx, relin, galois),
-		points:    points,
-		m:         m,
-		d:         d,
-		rawD:      rawD,
-		maskScale: math.Ldexp(1, 30),
+		pointSet: ps,
+		enc:      ckks.NewEncryptor(ps.ctx, pk, seed),
+		dec:      ckks.NewDecryptor(ps.ctx, sk),
+		ev:       ckks.NewEvaluator(ps.ctx, relin, galois),
 	}, nil
 }
 
@@ -198,63 +150,53 @@ func (k *Kernel) Distances(q []float64, variant Variant, clientEnd, serverEnd pr
 	var err error
 	switch variant {
 	case PointMajor:
-		out, err = k.pointMajor(q, upload, download, &stats, 1, false)
+		out, err = k.pointMajor(q, upload, download, &stats, 1)
 	case StackedPointMajor:
-		out, err = k.pointMajor(q, upload, download, &stats, k.ctx.Params.Slots()/k.d, false)
-	case CollapsedPointMajor:
-		out, err = k.pointMajor(q, upload, download, &stats, k.ctx.Params.Slots()/k.d, true)
+		out, err = k.pointMajor(q, upload, download, &stats, k.ctx.Params.Slots()/k.d)
+	case CollapsedPointMajor, StackedDimMajor:
+		out, err = k.singleRoundTrip(q, variant, upload, download, &stats)
 	case DimensionMajor:
-		out, err = k.dimensionMajor(q, upload, download, &stats, false)
-	case StackedDimMajor:
-		out, err = k.dimensionMajor(q, upload, download, &stats, true)
+		out, err = k.dimensionMajor(q, upload, download, &stats)
 	default:
 		err = fmt.Errorf("distance: unknown variant %v", variant)
 	}
 	return out, stats, err
 }
 
-// subPlain computes ct - values.
-func (k *Kernel) subPlain(ct *ckks.Ciphertext, values []float64) (*ckks.Ciphertext, error) {
-	pt, err := k.ecd.EncodeFloats(values, ct.Level, ct.Scale)
+// singleRoundTrip runs a client-optimal packing: one query
+// ciphertext up, the server side shared with the split Server, one
+// dense result down.
+func (k *Kernel) singleRoundTrip(q []float64, v Variant, upload, download hop, stats *core.Stats) ([]float64, error) {
+	qVec, err := packQuery(v, q, k.m, k.d, k.ctx.Params.Slots())
 	if err != nil {
 		return nil, err
 	}
-	return k.ev.SubPlain(ct, pt)
-}
-
-// reduceBlocks sums groups of `span` adjacent slots via rotate-and-add;
-// slot b·span of each block ends up holding its block's sum. stride is
-// the rotation unit (1 for contiguous, block size for dim blocks). The
-// tree stays serial on purpose: every rotation acts on the freshly
-// accumulated sum, so there is never more than one rotation per operand
-// to hoist — and flattening to span-1 hoisted rotations of the input
-// loses to the log₂(span)-deep tree for every realistic span.
-// RotateLeft itself is the k=1 case of the hoisted path, so the tree
-// still benefits from the cached automorphism tables.
-func (k *Kernel) reduceBlocks(ct *ckks.Ciphertext, span, stride int, ops *core.OpCounts) (*ckks.Ciphertext, error) {
-	acc := ct
-	for s := span / 2; s >= 1; s /= 2 {
-		rot, err := k.ev.RotateLeft(acc, s*stride)
-		if err != nil {
-			return nil, err
-		}
-		ops.Rotations++
-		acc, err = k.ev.Add(acc, rot)
-		if err != nil {
-			return nil, err
-		}
-		ops.Adds++
+	qCt, err := k.enc.EncryptFloats(qVec)
+	if err != nil {
+		return nil, err
 	}
-	return acc, nil
+	srvQ, err := upload(qCt)
+	if err != nil {
+		return nil, err
+	}
+	res, err := k.serve(k.ev, v, srvQ, &stats.Server)
+	if err != nil {
+		return nil, err
+	}
+	cli, err := download(res)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, k.m)
+	copy(out, k.dec.DecryptFloats(cli)[:k.m])
+	return out, nil
 }
 
-// pointMajor packs perCt points (D-strided blocks) per ciphertext.
-// With perCt == 1 this is the plain point-major variant (one point per
-// ciphertext, M result ciphertexts); with perCt == slots/D it is
-// stacked; with collapse it additionally condenses all results into a
-// single dense ciphertext at extra server cost (§5.4's client-optimal
-// choice).
-func (k *Kernel) pointMajor(q []float64, upload, download hop, stats *core.Stats, perCt int, collapse bool) ([]float64, error) {
+// pointMajor packs perCt points (D-strided blocks) per ciphertext and
+// downloads one sparse result ciphertext per group: with perCt == 1
+// this is the plain point-major variant (M result ciphertexts), with
+// perCt == slots/D the stacked one.
+func (k *Kernel) pointMajor(q []float64, upload, download hop, stats *core.Stats, perCt int) ([]float64, error) {
 	slots := k.ctx.Params.Slots()
 	groups := (k.m + perCt - 1) / perCt
 
@@ -276,7 +218,6 @@ func (k *Kernel) pointMajor(q []float64, upload, download hop, stats *core.Stats
 	// Server compute per group is transport-free and independent across
 	// groups — fan it out. Downloads stay serial in group order below so
 	// the wire protocol sees the same frame sequence as the serial code.
-	results := make([]float64, k.m)
 	reds := make([]*ckks.Ciphertext, groups)
 	groupOps := make([]core.OpCounts, groups)
 	groupErrs := make([]error, groups)
@@ -289,18 +230,12 @@ func (k *Kernel) pointMajor(q []float64, upload, download hop, stats *core.Stats
 			}
 			copy(pVec[b*k.d:], k.points[i])
 		}
-		diff, err := k.subPlain(srvQ, pVec)
+		pts, err := k.ecd.EncodeFloats(pVec, srvQ.Level, srvQ.Scale)
 		if err != nil {
 			groupErrs[g] = err
 			return
 		}
-		sq, err := k.ev.MulRelin(diff, diff)
-		if err != nil {
-			groupErrs[g] = err
-			return
-		}
-		groupOps[g].CtMults++
-		reds[g], groupErrs[g] = k.reduceBlocks(sq, k.d, 1, &groupOps[g])
+		reds[g], groupErrs[g] = k.squaredReduced(k.ev, srvQ, pts, 1, &groupOps[g])
 	})
 	for g := 0; g < groups; g++ {
 		if groupErrs[g] != nil {
@@ -309,195 +244,33 @@ func (k *Kernel) pointMajor(q []float64, upload, download hop, stats *core.Stats
 		stats.Server.Add(groupOps[g])
 	}
 
-	if !collapse {
-		for g := 0; g < groups; g++ {
-			cli, err := download(reds[g])
-			if err != nil {
-				return nil, err
-			}
-			decoded := k.dec.DecryptFloats(cli)
-			for b := 0; b < perCt; b++ {
-				i := g*perCt + b
-				if i >= k.m {
-					break
-				}
-				results[i] = decoded[b*k.d]
-			}
-		}
-		return results, nil
-	}
-
-	// Collapse: reposition each block's distance slot into the dense
-	// output ciphertext — extra masking multiplies and rotations on the
-	// server buy a single downloaded ciphertext. Rotation commutes with
-	// masking (φ_g(mask ⊙ x) = φ_g(mask) ⊙ φ_g(x), and a one-hot mask
-	// encodes identically at either slot position), so the server
-	// rotates first: every repositioning rotation of group g then acts
-	// on the same reduced ciphertext reds[g], and the group's whole
-	// rotation set shares one hoisted decomposition. Groups fan out
-	// across the worker pool; the final fold runs serially in group
-	// order (ciphertext addition is exact modular arithmetic, so any
-	// schedule of the same adds is bit-identical).
-	type cell struct{ b, i, steps int }
-	cellsByGroup := make([][]cell, groups)
+	results := make([]float64, k.m)
 	for g := 0; g < groups; g++ {
+		cli, err := download(reds[g])
+		if err != nil {
+			return nil, err
+		}
+		decoded := k.dec.DecryptFloats(cli)
 		for b := 0; b < perCt; b++ {
 			i := g*perCt + b
 			if i >= k.m {
 				break
 			}
-			steps := ((b*k.d-i)%slots + slots) % slots
-			cellsByGroup[g] = append(cellsByGroup[g], cell{b, i, steps})
+			results[i] = decoded[b*k.d]
 		}
 	}
-	gAccs := make([]*ckks.Ciphertext, groups)
-	gOps := make([]core.OpCounts, groups)
-	gErrs := make([]error, groups)
-	par.For(groups, func(g int) {
-		cs := cellsByGroup[g]
-		if len(cs) == 0 {
-			return
-		}
-		red := reds[g]
-		seen := map[int]bool{0: true}
-		var uniq []int
-		for _, c := range cs {
-			if !seen[c.steps] {
-				seen[c.steps] = true
-				uniq = append(uniq, c.steps)
-			}
-		}
-		rots, err := k.ev.RotateLeftHoisted(red, uniq)
-		if err != nil {
-			gErrs[g] = err
-			return
-		}
-		gOps[g].Rotations += len(uniq)
-		rotByStep := make(map[int]*ckks.Ciphertext, len(uniq)+1)
-		rotByStep[0] = red
-		for ui, s := range uniq {
-			rotByStep[s] = rots[ui]
-		}
-		var acc *ckks.Ciphertext
-		for _, c := range cs {
-			pos := rotByStep[c.steps]
-			mask := make([]float64, slots)
-			mask[c.i] = 1
-			mpt, err := k.ecd.EncodeFloats(mask, pos.Level, k.maskScale)
-			if err != nil {
-				gErrs[g] = err
-				return
-			}
-			masked, err := k.ev.MulPlain(pos, mpt)
-			if err != nil {
-				gErrs[g] = err
-				return
-			}
-			gOps[g].PlainMults++
-			if acc == nil {
-				acc = masked
-			} else {
-				acc, err = k.ev.Add(acc, masked)
-				if err != nil {
-					gErrs[g] = err
-					return
-				}
-				gOps[g].Adds++
-			}
-		}
-		gAccs[g] = acc
-	})
-	var collapseAcc *ckks.Ciphertext
-	for g := 0; g < groups; g++ {
-		if gErrs[g] != nil {
-			return nil, gErrs[g]
-		}
-		stats.Server.Add(gOps[g])
-		if gAccs[g] == nil {
-			continue
-		}
-		if collapseAcc == nil {
-			collapseAcc = gAccs[g]
-		} else {
-			var err error
-			collapseAcc, err = k.ev.Add(collapseAcc, gAccs[g])
-			if err != nil {
-				return nil, err
-			}
-			stats.Server.Adds++
-		}
-	}
-
-	final, err := k.ev.Rescale(collapseAcc)
-	if err != nil {
-		return nil, err
-	}
-	cli, err := download(final)
-	if err != nil {
-		return nil, err
-	}
-	decoded := k.dec.DecryptFloats(cli)
-	copy(results, decoded[:k.m])
 	return results, nil
 }
 
-// dimensionMajor packs one dimension per ciphertext (query value
-// replicated across point slots); stacked packs all dimensions as
-// M-strided blocks of a single ciphertext and reduces across blocks.
-// Both produce one dense result ciphertext ("dimension-major inputs
-// produce point-major outputs"). The per-dimension loop stays serial:
-// every iteration performs an upload hop, and the wire protocol's frame
-// order (and the client's matching send/recv sequence) must be
-// preserved — only transport-free compute may fan out.
-func (k *Kernel) dimensionMajor(q []float64, upload, download hop, stats *core.Stats, stacked bool) ([]float64, error) {
+// dimensionMajor uploads one ciphertext per dimension (the query value
+// replicated across point slots); the server accumulates squared
+// differences with zero rotations into one dense result ciphertext
+// ("dimension-major inputs produce point-major outputs"). The
+// per-dimension loop stays serial: every iteration performs an upload
+// hop, and the wire protocol's frame order (and the client's matching
+// send/recv sequence) must be preserved.
+func (k *Kernel) dimensionMajor(q []float64, upload, download hop, stats *core.Stats) ([]float64, error) {
 	slots := k.ctx.Params.Slots()
-	bm := nextPow2(k.m)
-
-	if stacked {
-		if bm*k.d > slots {
-			return nil, fmt.Errorf("distance: stacked dim-major needs %d slots", bm*k.d)
-		}
-		qVec := make([]float64, slots)
-		pVec := make([]float64, slots)
-		for d := 0; d < k.rawD; d++ {
-			for i := 0; i < k.m; i++ {
-				qVec[d*bm+i] = q[d]
-				pVec[d*bm+i] = k.points[i][d]
-			}
-		}
-		qCt, err := k.enc.EncryptFloats(qVec)
-		if err != nil {
-			return nil, err
-		}
-		srvQ, err := upload(qCt)
-		if err != nil {
-			return nil, err
-		}
-		diff, err := k.subPlain(srvQ, pVec)
-		if err != nil {
-			return nil, err
-		}
-		sq, err := k.ev.MulRelin(diff, diff)
-		if err != nil {
-			return nil, err
-		}
-		stats.Server.CtMults++
-		red, err := k.reduceBlocks(sq, k.d, bm, &stats.Server)
-		if err != nil {
-			return nil, err
-		}
-		cli, err := download(red)
-		if err != nil {
-			return nil, err
-		}
-		decoded := k.dec.DecryptFloats(cli)
-		out := make([]float64, k.m)
-		copy(out, decoded[:k.m])
-		return out, nil
-	}
-
-	// One ciphertext per dimension; the server accumulates squared
-	// differences with zero rotations.
 	var acc *ckks.Ciphertext
 	for d := 0; d < k.rawD; d++ {
 		qVec := make([]float64, slots)
@@ -514,7 +287,11 @@ func (k *Kernel) dimensionMajor(q []float64, upload, download hop, stats *core.S
 		if err != nil {
 			return nil, err
 		}
-		diff, err := k.subPlain(srvQ, pVec)
+		pts, err := k.ecd.EncodeFloats(pVec, srvQ.Level, srvQ.Scale)
+		if err != nil {
+			return nil, err
+		}
+		diff, err := k.ev.SubPlain(srvQ, pts)
 		if err != nil {
 			return nil, err
 		}
@@ -537,9 +314,8 @@ func (k *Kernel) dimensionMajor(q []float64, upload, download hop, stats *core.S
 	if err != nil {
 		return nil, err
 	}
-	decoded := k.dec.DecryptFloats(cli)
 	out := make([]float64, k.m)
-	copy(out, decoded[:k.m])
+	copy(out, k.dec.DecryptFloats(cli)[:k.m])
 	return out, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"choco/internal/core"
 	"choco/internal/protocol"
 	"choco/internal/sampling"
 )
@@ -114,26 +115,59 @@ func TestVariantTrafficShape(t *testing.T) {
 }
 
 func TestAnalyzeCostAgainstMeasured(t *testing.T) {
-	// The analytic model must reproduce the measured ciphertext counts
-	// on a live kernel.
-	m, d := 8, 4
-	kernel := testKernel(t, m, d)
-	slots := kernel.ctx.Params.Slots()
-	q := []float64{0.1, 0.2, 0.3, 0.4}
-	for _, v := range Variants() {
-		clientEnd, serverEnd := protocol.NewPipe()
-		_, stats, err := kernel.Distances(q, v, clientEnd, serverEnd)
-		clientEnd.Close()
+	// The analytic model must reproduce the executed paths: ciphertext
+	// counts and every server operation count, on the in-process kernel
+	// for all variants and on the split server for the two it serves.
+	for _, g := range []struct{ m, d int }{{8, 4}, {5, 2}, {6, 1}} {
+		pts := synthPoints(g.m, g.d, 1)
+		kernel, err := NewKernel(PresetDistanceTest(), pts, [32]byte{2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := AnalyzeCost(v, m, d, slots)
-		if c.UpCts != stats.UpCiphertexts || c.DownCts != stats.DownCiphertexts {
-			t.Errorf("%v: model (%d,%d) vs measured (%d,%d)",
-				v, c.UpCts, c.DownCts, stats.UpCiphertexts, stats.DownCiphertexts)
+		slots := kernel.ctx.Params.Slots()
+		q := []float64{0.1, 0.2, 0.3, 0.4}[:g.d]
+		for _, v := range Variants() {
+			clientEnd, serverEnd := protocol.NewPipe()
+			_, stats, err := kernel.Distances(q, v, clientEnd, serverEnd)
+			clientEnd.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := AnalyzeCost(v, g.m, g.d, slots)
+			if c.UpCts != stats.UpCiphertexts || c.DownCts != stats.DownCiphertexts {
+				t.Errorf("m=%d d=%d %v: model (%d,%d) vs measured (%d,%d)",
+					g.m, g.d, v, c.UpCts, c.DownCts, stats.UpCiphertexts, stats.DownCiphertexts)
+			}
+			if c.Server != stats.Server {
+				t.Errorf("m=%d d=%d %v: model ops %+v vs kernel %+v", g.m, g.d, v, c.Server, stats.Server)
+			}
 		}
-		if c.Server.CtMults != stats.Server.CtMults {
-			t.Errorf("%v: model ctmults %d vs measured %d", v, c.Server.CtMults, stats.Server.CtMults)
+
+		server, client := splitPair(t, pts, 3)
+		for _, v := range []Variant{StackedDimMajor, CollapsedPointMajor} {
+			clientEnd, serverEnd := protocol.NewPipe()
+			var ops core.OpCounts
+			errCh := make(chan error, 1)
+			go func() {
+				err := server.AcceptSetup(serverEnd)
+				if err == nil {
+					ops, err = server.ServeOne(serverEnd)
+				}
+				errCh <- err
+			}()
+			if err := client.Setup(clientEnd); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := client.Query(q, v, clientEnd); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-errCh; err != nil {
+				t.Fatal(err)
+			}
+			clientEnd.Close()
+			if c := AnalyzeCost(v, g.m, g.d, slots); c.Server != ops {
+				t.Errorf("m=%d d=%d %v: model ops %+v vs split server %+v", g.m, g.d, v, c.Server, ops)
+			}
 		}
 	}
 }

@@ -3,10 +3,10 @@ package distance
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"choco/internal/ckks"
 	"choco/internal/core"
+	"choco/internal/par"
 	"choco/internal/protocol"
 )
 
@@ -26,36 +26,18 @@ func requestFrame(v Variant) []byte {
 
 // Server is the untrusted side of the split deployment.
 type Server struct {
-	ctx    *ckks.Context
-	ecd    *ckks.Encoder
-	ev     *ckks.Evaluator
-	points [][]float64
-	m, d   int
-	rawD   int
-	maskSc float64
+	*pointSet
+	ev *ckks.Evaluator
 }
 
-// NewServer builds the server over the aggregated point set.
+// NewServer builds the server over the aggregated point set, encoding
+// every plaintext a query needs once.
 func NewServer(params ckks.Parameters, points [][]float64) (*Server, error) {
-	if len(points) == 0 || len(points[0]) == 0 {
-		return nil, fmt.Errorf("distance: empty point set")
-	}
-	ctx, err := ckks.NewContext(params)
+	ps, err := newPointSet(params, points)
 	if err != nil {
 		return nil, err
 	}
-	m, rawD := len(points), len(points[0])
-	d := nextPow2(rawD)
-	if m*d > ctx.Params.Slots() {
-		return nil, fmt.Errorf("distance: %d points × %d dims exceed %d slots", m, d, ctx.Params.Slots())
-	}
-	return &Server{
-		ctx:    ctx,
-		ecd:    ckks.NewEncoder(ctx),
-		points: points,
-		m:      m, d: d, rawD: rawD,
-		maskSc: math.Ldexp(1, 30),
-	}, nil
+	return &Server{pointSet: ps}, nil
 }
 
 // Geometry returns (points, padded dims) — published to clients so
@@ -77,7 +59,13 @@ func (s *Server) AcceptSetup(t protocol.Transport) error {
 }
 
 // ServeOne handles one query: request frame, query ciphertext in,
-// result ciphertext out. Returns the server operation counts.
+// result ciphertext out. Returns the server operation counts. A query
+// ciphertext whose degree, level or scale differs from Client.Query's
+// is rejected, since the precomputed plaintexts assume them. The query
+// runs on one core (par.Serial): the server scales by connections, and
+// a fan-out inside one query would make its latency depend on whether
+// another core happens to be free (EXPERIMENTS.md, k-NN distance
+// server).
 func (s *Server) ServeOne(t protocol.Transport) (core.OpCounts, error) {
 	var ops core.OpCounts
 	if s.ev == nil {
@@ -100,133 +88,12 @@ func (s *Server) ServeOne(t protocol.Transport) (core.OpCounts, error) {
 	if err != nil {
 		return ops, err
 	}
-
 	var result *ckks.Ciphertext
-	switch variant {
-	case StackedDimMajor:
-		result, err = s.computeStackedDimMajor(q, &ops)
-	case CollapsedPointMajor:
-		result, err = s.computeCollapsed(q, &ops)
-	default:
-		return ops, fmt.Errorf("distance: split deployment supports the client-optimal variants only (got %v)", variant)
-	}
+	par.Serial(func() { result, err = s.serve(s.ev, variant, q, &ops) })
 	if err != nil {
 		return ops, err
 	}
 	return ops, t.Send(protocol.MarshalCKKS(result))
-}
-
-func (s *Server) subPlain(ct *ckks.Ciphertext, values []float64) (*ckks.Ciphertext, error) {
-	pt, err := s.ecd.EncodeFloats(values, ct.Level, ct.Scale)
-	if err != nil {
-		return nil, err
-	}
-	return s.ev.SubPlain(ct, pt)
-}
-
-func (s *Server) reduce(ct *ckks.Ciphertext, span, stride int, ops *core.OpCounts) (*ckks.Ciphertext, error) {
-	acc := ct
-	for step := span / 2; step >= 1; step /= 2 {
-		rot, err := s.ev.RotateLeft(acc, step*stride)
-		if err != nil {
-			return nil, err
-		}
-		ops.Rotations++
-		acc, err = s.ev.Add(acc, rot)
-		if err != nil {
-			return nil, err
-		}
-		ops.Adds++
-	}
-	return acc, nil
-}
-
-func (s *Server) computeStackedDimMajor(q *ckks.Ciphertext, ops *core.OpCounts) (*ckks.Ciphertext, error) {
-	slots := s.ctx.Params.Slots()
-	bm := nextPow2(s.m)
-	pVec := make([]float64, slots)
-	for d := 0; d < s.rawD; d++ {
-		for i := 0; i < s.m; i++ {
-			pVec[d*bm+i] = s.points[i][d]
-		}
-	}
-	diff, err := s.subPlain(q, pVec)
-	if err != nil {
-		return nil, err
-	}
-	sq, err := s.ev.MulRelin(diff, diff)
-	if err != nil {
-		return nil, err
-	}
-	ops.CtMults++
-	return s.reduce(sq, s.d, bm, ops)
-}
-
-func (s *Server) computeCollapsed(q *ckks.Ciphertext, ops *core.OpCounts) (*ckks.Ciphertext, error) {
-	slots := s.ctx.Params.Slots()
-	perCt := slots / s.d
-	groups := (s.m + perCt - 1) / perCt
-
-	var collapseAcc *ckks.Ciphertext
-	for g := 0; g < groups; g++ {
-		pVec := make([]float64, slots)
-		for b := 0; b < perCt; b++ {
-			i := g*perCt + b
-			if i >= s.m {
-				break
-			}
-			copy(pVec[b*s.d:], s.points[i])
-		}
-		diff, err := s.subPlain(q, pVec)
-		if err != nil {
-			return nil, err
-		}
-		sq, err := s.ev.MulRelin(diff, diff)
-		if err != nil {
-			return nil, err
-		}
-		ops.CtMults++
-		red, err := s.reduce(sq, s.d, 1, ops)
-		if err != nil {
-			return nil, err
-		}
-		for b := 0; b < perCt; b++ {
-			i := g*perCt + b
-			if i >= s.m {
-				break
-			}
-			mask := make([]float64, slots)
-			mask[b*s.d] = 1
-			mpt, err := s.ecd.EncodeFloats(mask, red.Level, s.maskSc)
-			if err != nil {
-				return nil, err
-			}
-			masked, err := s.ev.MulPlain(red, mpt)
-			if err != nil {
-				return nil, err
-			}
-			ops.PlainMults++
-			steps := ((b*s.d-i)%slots + slots) % slots
-			pos := masked
-			if steps != 0 {
-				pos, err = s.ev.RotateLeft(masked, steps)
-				if err != nil {
-					return nil, err
-				}
-				ops.Rotations++
-			}
-			if collapseAcc == nil {
-				collapseAcc = pos
-			} else {
-				collapseAcc, err = s.ev.Add(collapseAcc, pos)
-				if err != nil {
-					return nil, err
-				}
-				ops.Adds++
-			}
-		}
-	}
-	return s.ev.Rescale(collapseAcc)
 }
 
 // Client is the trusted side of the split deployment.
@@ -256,23 +123,7 @@ func NewClient(params ckks.Parameters, m, rawD int, seed [32]byte) (*Client, err
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
 	relin := kg.GenRelinearizationKey(sk)
-	stepSet := map[int]bool{}
-	for s := 1; s < slots; s <<= 1 {
-		stepSet[s] = true
-	}
-	perCt := slots / d
-	for i := 0; i < m; i++ {
-		blockSlot := (i % perCt) * d
-		s := ((blockSlot-i)%slots + slots) % slots
-		if s != 0 {
-			stepSet[s] = true
-		}
-	}
-	steps := make([]int, 0, len(stepSet))
-	for s := range stepSet {
-		steps = append(steps, s)
-	}
-	galois := kg.GenRotationKeys(sk, steps...)
+	galois := kg.GenRotationKeys(sk, rotationSteps(m, d, slots)...)
 	return &Client{
 		ctx: ctx, sk: sk,
 		enc:    ckks.NewEncryptor(ctx, pk, seed),
@@ -294,23 +145,9 @@ func (c *Client) Query(q []float64, variant Variant, t protocol.Transport) ([]fl
 	if len(q) != c.rawD {
 		return nil, stats, fmt.Errorf("distance: query has %d dims, want %d", len(q), c.rawD)
 	}
-	slots := c.ctx.Params.Slots()
-	qVec := make([]float64, slots)
-	switch variant {
-	case StackedDimMajor:
-		bm := nextPow2(c.m)
-		for d := 0; d < c.rawD; d++ {
-			for i := 0; i < c.m; i++ {
-				qVec[d*bm+i] = q[d]
-			}
-		}
-	case CollapsedPointMajor:
-		perCt := slots / c.d
-		for b := 0; b < perCt; b++ {
-			copy(qVec[b*c.d:], q)
-		}
-	default:
-		return nil, stats, fmt.Errorf("distance: split deployment supports the client-optimal variants only (got %v)", variant)
+	qVec, err := packQuery(variant, q, c.m, c.d, c.ctx.Params.Slots())
+	if err != nil {
+		return nil, stats, err
 	}
 	ct, err := c.enc.EncryptFloats(qVec)
 	if err != nil {
@@ -337,15 +174,8 @@ func (c *Client) Query(q []float64, variant Variant, t protocol.Transport) ([]fl
 	if err != nil {
 		return nil, stats, err
 	}
-	decoded := c.dec.DecryptFloats(res)
-	stats.Decryptions++
-
 	out := make([]float64, c.m)
-	switch variant {
-	case StackedDimMajor:
-		copy(out, decoded[:c.m])
-	case CollapsedPointMajor:
-		copy(out, decoded[:c.m])
-	}
+	copy(out, c.dec.DecryptFloats(res)[:c.m])
+	stats.Decryptions++
 	return out, stats, nil
 }

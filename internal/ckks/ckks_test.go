@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"math"
+	"math/big"
 	"math/cmplx"
 	"testing"
 )
@@ -107,6 +108,57 @@ func TestEncodeComplexRoundTrip(t *testing.T) {
 	for i := range values {
 		if cmplx.Abs(got[i]-values[i]) > 1e-5 {
 			t.Fatalf("slot %d: got %v want %v", i, got[i], values[i])
+		}
+	}
+}
+
+// TestEncodeInt64PathMatchesBigInt pins the encoder's int64 rounding
+// path to the big.Int one it short-circuits: every scale whose scaled
+// coefficients stay below 2^62 must encode to the same residues, ties
+// included, and larger scales must still take the big.Int path.
+func TestEncodeInt64PathMatchesBigInt(t *testing.T) {
+	kit := newTestKit(t, PresetTest())
+	nh := kit.ctx.Params.Slots()
+	level := kit.ctx.Params.MaxLevel()
+	r := kit.ctx.RingAtLevel(level)
+	oneHot := make([]complex128, nh)
+	oneHot[3] = 1
+	ramp := make([]complex128, nh)
+	for i := range ramp {
+		ramp[i] = complex(rampFloats(nh)[i], -0.5*float64(i%5))
+	}
+	// The tie rule: both paths round half away from zero.
+	for _, v := range []float64{0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.49999999999999994, 0x1p61 + 1, -0x1p61 - 1} {
+		if got, want := int64(math.Round(v)), bigFromFloat(v).Int64(); got != want {
+			t.Errorf("round(%v): int64 path %d, big.Int path %d", v, got, want)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		values []complex128
+		scale  float64
+	}{
+		{"one-hot/2^30", oneHot, math.Ldexp(1, 30)},
+		{"ramp/2^40", ramp, math.Ldexp(1, 40)},
+		{"ramp/2^58", ramp, math.Ldexp(1, 58)},
+		{"ramp/2^70", ramp, math.Ldexp(1, 70)},
+	} {
+		got, err := kit.ecd.EncodeComplex(tc.values, level, tc.scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]complex128, nh)
+		copy(buf, tc.values)
+		kit.ecd.embedInv(buf)
+		coeffs := make([]*big.Int, kit.ctx.Params.N())
+		for j := 0; j < nh; j++ {
+			coeffs[j] = bigFromFloat(real(buf[j]) * tc.scale)
+			coeffs[j+nh] = bigFromFloat(imag(buf[j]) * tc.scale)
+		}
+		want := r.NewPoly()
+		r.SetCoeffsBigint(coeffs, want)
+		if !r.Equal(got.Poly, want) {
+			t.Errorf("%s: encoding differs from the big.Int rounding", tc.name)
 		}
 	}
 }

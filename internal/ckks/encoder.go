@@ -101,6 +101,23 @@ func (e *Encoder) EncodeComplex(values []complex128, level int, scale float64) (
 
 	r := e.ctx.RingAtLevel(level)
 	pt := &Plaintext{Poly: r.NewPoly(), Level: level, Scale: scale}
+	// Scaled coefficients below 2^62 round exactly in int64:
+	// math.Round and bigFromFloat both round half away from zero, so
+	// the fast path is byte-identical to the big.Int one, which stays
+	// for scales that push a coefficient past 2^62.
+	small := make([]int64, e.ctx.Params.N())
+	for j := 0; j < nh; j++ {
+		re, im := real(buf[j])*scale, imag(buf[j])*scale
+		if !(math.Abs(re) < 0x1p62 && math.Abs(im) < 0x1p62) {
+			small = nil
+			break
+		}
+		small[j], small[j+nh] = int64(math.Round(re)), int64(math.Round(im))
+	}
+	if small != nil {
+		r.SetCoeffsInt64(small, pt.Poly)
+		return pt, nil
+	}
 	coeffs := make([]*big.Int, e.ctx.Params.N())
 	for j := 0; j < nh; j++ {
 		coeffs[j] = bigFromFloat(real(buf[j]) * scale)

@@ -200,3 +200,101 @@ func (ev *Evaluator) applyGaloisDecomposed(dc *DecomposedCiphertext, g uint64) (
 		Scale: dc.ct.Scale,
 	}, nil
 }
+
+// RotateMulPlainSum returns Σᵢ rotate(ct, steps[i]) ⊙ pts[i]: the
+// masked-collapse shape, where every rotation of one ciphertext is
+// selected by its own plaintext. The rotations share one hoisted
+// decomposition and fan out across the worker pool; each rotated
+// ciphertext is moved to the NTT domain, multiplied into its worker's
+// NTT-domain accumulator and handed back to the pool, so the whole sum
+// pays one INTT per output polynomial. pts must be at ct's level, in
+// NTT form (prepared once by the caller) and share one scale; the
+// result scale is ct.Scale·pts[0].Scale. Byte-identical to MulPlain of
+// each RotateLeft output folded with Add, because the INTT is exact
+// modular linear algebra.
+func (ev *Evaluator) RotateMulPlainSum(ct *Ciphertext, steps []int, pts []*Plaintext) (*Ciphertext, error) {
+	if len(steps) == 0 || len(steps) != len(pts) {
+		return nil, fmt.Errorf("ckks: RotateMulPlainSum needs one plaintext per step (%d steps, %d plaintexts)", len(steps), len(pts))
+	}
+	if len(ct.Value) != 2 {
+		return nil, fmt.Errorf("ckks: RotateMulPlainSum requires degree 1")
+	}
+	for _, pt := range pts {
+		if pt.Level != ct.Level {
+			return nil, fmt.Errorf("ckks: level mismatch %d vs %d", ct.Level, pt.Level)
+		}
+		if !pt.Poly.IsNTT {
+			return nil, fmt.Errorf("ckks: RotateMulPlainSum plaintexts must be in NTT form")
+		}
+		if !scalesMatch(pt.Scale, pts[0].Scale) {
+			return nil, fmt.Errorf("ckks: scale mismatch %g vs %g", pt.Scale, pts[0].Scale)
+		}
+	}
+	var dc *DecomposedCiphertext
+	for _, s := range steps {
+		if s != 0 {
+			var err error
+			if dc, err = ev.Decompose(ct); err != nil {
+				return nil, err
+			}
+			defer dc.Release()
+			break
+		}
+	}
+
+	r := ev.ctx.RingAtLevel(ct.Level)
+	accs := make([][2]*ring.Poly, par.MaxWorkers(len(steps)))
+	errs := make([]error, len(steps))
+	par.ForWorker(len(steps), func(w, i int) {
+		var terms []*ring.Poly
+		if steps[i] == 0 {
+			terms = []*ring.Poly{r.GetPoly(), r.GetPoly()}
+			r.Copy(terms[0], ct.Value[0])
+			r.Copy(terms[1], ct.Value[1])
+		} else {
+			rot, err := ev.applyGaloisDecomposed(dc, ev.ctx.GaloisElementForRotation(steps[i]))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			terms = rot.Value
+		}
+		acc := &accs[w]
+		for j, p := range terms {
+			if acc[j] == nil {
+				acc[j] = r.GetPoly()
+				acc[j].DeclareNTT()
+			}
+			r.NTT(p)
+			r.MulCoeffsAdd(p, pts[i].Poly, acc[j])
+			r.PutPoly(p)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			for _, acc := range accs {
+				r.PutPoly(acc[0])
+				r.PutPoly(acc[1])
+			}
+			return nil, err
+		}
+	}
+	// Not every worker need have drawn an iteration, the caller
+	// included.
+	var out [2]*ring.Poly
+	for _, acc := range accs {
+		switch {
+		case acc[0] == nil:
+		case out[0] == nil:
+			out = acc
+		default:
+			for j, p := range acc {
+				r.Add(out[j], p, out[j])
+				r.PutPoly(p)
+			}
+		}
+	}
+	r.INTT(out[0])
+	r.INTT(out[1])
+	return &Ciphertext{Value: out[:], Level: ct.Level, Scale: ct.Scale * pts[0].Scale}, nil
+}

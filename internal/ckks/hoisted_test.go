@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"choco/internal/par"
 	"choco/internal/ring"
 )
 
@@ -193,5 +194,86 @@ func TestHoistedZeroStepIsCopyCKKS(t *testing.T) {
 	}
 	if !ctsIdentical(kit.ctx.RingAtLevel(ct.Level), ct, outs[0]) {
 		t.Error("zero-step hoisted rotation is not a copy")
+	}
+}
+
+// TestRotateMulPlainSumMatchesSerialFold pins the masked collapse: one
+// shared decomposition, NTT-domain per-worker accumulation and one
+// INTT per output polynomial must reproduce, byte for byte, MulPlain of
+// every RotateLeft output folded with Add — serially and fanned out.
+func TestRotateMulPlainSumMatchesSerialFold(t *testing.T) {
+	steps := []int{0, 3, 1, 6, 2, 9}
+	kit := newTestKit(t, PresetTest(), steps[1:]...)
+	slots := kit.ctx.Params.Slots()
+	ct, err := kit.enc.EncryptFloats(rampFloats(slots))
+	if err != nil {
+		t.Fatal(err)
+	}
+	level := ct.Level
+	r := kit.ctx.RingAtLevel(level)
+	coeffPts := make([]*Plaintext, len(steps))
+	nttPts := make([]*Plaintext, len(steps))
+	for i := range steps {
+		mask := make([]float64, slots)
+		mask[i] = 1
+		if coeffPts[i], err = kit.ecd.EncodeFloats(mask, level, 1<<30); err != nil {
+			t.Fatal(err)
+		}
+		nttPts[i] = &Plaintext{Poly: r.CopyPoly(coeffPts[i].Poly), Level: level, Scale: 1 << 30}
+		r.NTT(nttPts[i].Poly)
+	}
+	var want *Ciphertext
+	for i, s := range steps {
+		rot, err := kit.ev.RotateLeft(ct, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		term, err := kit.ev.MulPlain(rot, coeffPts[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = term
+		} else if want, err = kit.ev.Add(want, term); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		old := par.Parallelism()
+		par.SetParallelism(workers)
+		got, err := kit.ev.RotateMulPlainSum(ct, steps, nttPts)
+		par.SetParallelism(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ctsIdentical(r, want, got) {
+			t.Errorf("%d workers: masked rotation sum differs from the serial MulPlain+Add fold", workers)
+		}
+	}
+	// Only zero steps: no decomposition, no Galois key needed.
+	zeros, err := NewEvaluator(kit.ctx, nil, nil).RotateMulPlainSum(ct, []int{0}, nttPts[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _ := kit.ev.MulPlain(ct, coeffPts[0])
+	if !ctsIdentical(r, first, zeros) {
+		t.Error("zero-step sum differs from MulPlain")
+	}
+
+	for _, tc := range []struct {
+		name  string
+		steps []int
+		pts   []*Plaintext
+		want  string
+	}{
+		{"length mismatch", steps, nttPts[:2], "one plaintext per step"},
+		{"coefficient form", steps[:1], coeffPts[:1], "NTT form"},
+		{"missing key", []int{5}, nttPts[:1], "missing Galois key"},
+		{"scale mismatch", steps[:2], []*Plaintext{nttPts[0], {Poly: nttPts[1].Poly, Level: level, Scale: 1 << 20}}, "scale mismatch"},
+		{"level mismatch", steps[:1], []*Plaintext{{Poly: nttPts[0].Poly, Level: level - 1, Scale: 1 << 30}}, "level mismatch"},
+	} {
+		if _, err := kit.ev.RotateMulPlainSum(ct, tc.steps, tc.pts); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -110,22 +110,7 @@ func ForWorker(n int, fn func(worker, i int)) {
 		return
 	}
 	s := state.Load()
-	extra := 0
-	if n > 1 && s.tokens != nil {
-		max := n - 1
-		if max > s.parallelism-1 {
-			max = s.parallelism - 1
-		}
-	acquire:
-		for extra < max {
-			select {
-			case s.tokens <- struct{}{}:
-				extra++
-			default:
-				break acquire
-			}
-		}
-	}
+	extra := s.acquire(n - 1)
 	if extra == 0 {
 		// Zero-goroutine fallback: serial, in order, on the caller.
 		for i := 0; i < n; i++ {
@@ -175,3 +160,45 @@ func ForWorker(n int, fn func(worker, i int)) {
 // workerPanic carries the first recovered panic value from a worker to
 // the caller.
 type workerPanic struct{ value any }
+
+// acquire borrows up to max helper tokens, as many as are free right
+// now, and returns how many it took.
+func (s *poolState) acquire(max int) int {
+	if s.tokens == nil {
+		return 0
+	}
+	if max > s.parallelism-1 {
+		max = s.parallelism - 1
+	}
+	n := 0
+	for n < max {
+		select {
+		case s.tokens <- struct{}{}:
+			n++
+		default:
+			return n
+		}
+	}
+	return n
+}
+
+// Serial runs fn on the calling goroutine while holding every helper
+// token that is free when it starts, so the For and ForWorker calls fn
+// makes find the budget exhausted and run in place, in order. A code
+// path that must take the same time whether or not the machine has a
+// spare core uses it: a fan-out joins on its slowest worker, so it
+// slows by up to the fan-out width when a co-tenant holds one core. The
+// tokens are the process-wide budget, so other goroutines' loops run in
+// place too until fn returns. It never blocks: tokens another caller
+// holds when Serial starts and returns while fn runs are free for fn's
+// For calls to take.
+func Serial(fn func()) {
+	s := state.Load()
+	held := s.acquire(s.parallelism - 1)
+	defer func() {
+		for ; held > 0; held-- {
+			<-s.tokens
+		}
+	}()
+	fn()
+}

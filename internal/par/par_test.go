@@ -204,3 +204,37 @@ func TestForWorkerScratchPartition(t *testing.T) {
 		t.Fatalf("MaxWorkers with disabled pool = %d, want 1", got)
 	}
 }
+
+// TestSerialRunsInPlace proves that loops inside Serial run on the
+// caller, in order, without a helper, and that Serial hands its tokens
+// back on return and on panic.
+func TestSerialRunsInPlace(t *testing.T) {
+	setParallelism(t, 4)
+	before := helperSpawns.Load()
+	var order []int
+	Serial(func() {
+		For(16, func(i int) { order = append(order, i) })
+		ForWorker(8, func(w, i int) {
+			if w != 0 {
+				t.Errorf("ForWorker inside Serial ran iteration %d on worker %d", i, w)
+			}
+		})
+	})
+	if got := helperSpawns.Load(); got != before {
+		t.Fatalf("spawned %d helper(s) inside Serial, want 0", got-before)
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("For inside Serial ran out of order: %v", order)
+		}
+	}
+
+	func() {
+		defer func() { _ = recover() }()
+		Serial(func() { panic("boom") })
+	}()
+	For(4, func(int) {})
+	if got := helperSpawns.Load() - before; got != 3 {
+		t.Fatalf("For(4) after Serial spawned %d helpers, want 3 (tokens not returned)", got)
+	}
+}

@@ -15,32 +15,17 @@ type CKKSKeyBundle struct {
 	Galois map[uint64]*ckks.GaloisKey
 }
 
-// MarshalCKKSKeyBundle serializes a bundle.
+// MarshalCKKSKeyBundle serializes a bundle (see marshalBundle).
 func MarshalCKKSKeyBundle(kb *CKKSKeyBundle) []byte {
-	b := appendUint32(nil, ckksBundleMagic)
-	b = appendPoly(b, kb.PK.P0)
-	b = appendPoly(b, kb.PK.P1)
-
-	appendSwitching := func(b []byte, swk *ckks.SwitchingKey) []byte {
-		b = appendUint32(b, uint32(len(swk.B)))
-		for i := range swk.B {
-			b = appendPoly(b, swk.B[i])
-			b = appendPoly(b, swk.A[i])
-		}
-		return b
-	}
+	var relin *switchingKey
 	if kb.Relin != nil {
-		b = appendUint32(b, 1)
-		b = appendSwitching(b, kb.Relin.Key)
-	} else {
-		b = appendUint32(b, 0)
+		relin = &switchingKey{kb.Relin.Key.B, kb.Relin.Key.A}
 	}
-	b = appendUint32(b, uint32(len(kb.Galois)))
+	galois := make(map[uint64]switchingKey, len(kb.Galois))
 	for g, gk := range kb.Galois {
-		b = appendUint64(b, g)
-		b = appendSwitching(b, gk.Key)
+		galois[g] = switchingKey{gk.Key.B, gk.Key.A}
 	}
-	return b
+	return marshalBundle(ckksBundleMagic, kb.PK.P0, kb.PK.P1, relin, galois)
 }
 
 // UnmarshalCKKSKeyBundle reconstructs a bundle under ctx.

@@ -3,6 +3,7 @@ package protocol
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"choco/internal/bfv"
 	"choco/internal/ring"
@@ -35,9 +36,70 @@ func appendPoly(b []byte, p *ring.Poly) []byte {
 		b = appendUint32(b, 0)
 	}
 	for _, row := range p.Coeffs {
-		for _, v := range row {
-			b = appendUint64(b, v)
+		off := len(b)
+		b = b[:off+8*len(row)]
+		for j, v := range row {
+			binary.LittleEndian.PutUint64(b[off+8*j:], v)
 		}
+	}
+	return b
+}
+
+// polyBytes is the encoded size of p under appendPoly.
+func polyBytes(p *ring.Poly) int { return 12 + 8*len(p.Coeffs)*len(p.Coeffs[0]) }
+
+// switchingKey is the scheme-independent view of a key-switching key
+// the bundle codec writes: one (B, A) polynomial pair per digit.
+type switchingKey struct{ B, A []*ring.Poly }
+
+func (swk switchingKey) encodedBytes() int {
+	n := 4
+	for i := range swk.B {
+		n += polyBytes(swk.B[i]) + polyBytes(swk.A[i])
+	}
+	return n
+}
+
+func appendSwitchingKey(b []byte, swk switchingKey) []byte {
+	b = appendUint32(b, uint32(len(swk.B)))
+	for i := range swk.B {
+		b = appendPoly(b, swk.B[i])
+		b = appendPoly(b, swk.A[i])
+	}
+	return b
+}
+
+// marshalBundle writes an evaluation-key bundle, shared by both
+// schemes: magic, public key, optional relinearization key, then the
+// Galois keys in ascending element order — a canonical encoding, so
+// one key set always marshals to the same bytes. The buffer is sized
+// once up front.
+func marshalBundle(magic uint32, p0, p1 *ring.Poly, relin *switchingKey, galois map[uint64]switchingKey) []byte {
+	elems := make([]uint64, 0, len(galois))
+	size := 4 + polyBytes(p0) + polyBytes(p1) + 4 + 4
+	if relin != nil {
+		size += relin.encodedBytes()
+	}
+	for g, swk := range galois {
+		elems = append(elems, g)
+		size += 8 + swk.encodedBytes()
+	}
+	slices.Sort(elems)
+
+	b := make([]byte, 0, size)
+	b = appendUint32(b, magic)
+	b = appendPoly(b, p0)
+	b = appendPoly(b, p1)
+	if relin != nil {
+		b = appendUint32(b, 1)
+		b = appendSwitchingKey(b, *relin)
+	} else {
+		b = appendUint32(b, 0)
+	}
+	b = appendUint32(b, uint32(len(elems)))
+	for _, g := range elems {
+		b = appendUint64(b, g)
+		b = appendSwitchingKey(b, galois[g])
 	}
 	return b
 }
@@ -107,32 +169,17 @@ type KeyBundle struct {
 	Galois map[uint64]*bfv.GaloisKey
 }
 
-// MarshalKeyBundle serializes a bundle.
+// MarshalKeyBundle serializes a bundle (see marshalBundle).
 func MarshalKeyBundle(kb *KeyBundle) []byte {
-	b := appendUint32(nil, keyBundleMagic)
-	b = appendPoly(b, kb.PK.P0)
-	b = appendPoly(b, kb.PK.P1)
-
-	appendSwitching := func(b []byte, swk *bfv.SwitchingKey) []byte {
-		b = appendUint32(b, uint32(len(swk.B)))
-		for i := range swk.B {
-			b = appendPoly(b, swk.B[i])
-			b = appendPoly(b, swk.A[i])
-		}
-		return b
-	}
+	var relin *switchingKey
 	if kb.Relin != nil {
-		b = appendUint32(b, 1)
-		b = appendSwitching(b, kb.Relin.Key)
-	} else {
-		b = appendUint32(b, 0)
+		relin = &switchingKey{kb.Relin.Key.B, kb.Relin.Key.A}
 	}
-	b = appendUint32(b, uint32(len(kb.Galois)))
+	galois := make(map[uint64]switchingKey, len(kb.Galois))
 	for g, gk := range kb.Galois {
-		b = appendUint64(b, g)
-		b = appendSwitching(b, gk.Key)
+		galois[g] = switchingKey{gk.Key.B, gk.Key.A}
 	}
-	return b
+	return marshalBundle(keyBundleMagic, kb.PK.P0, kb.PK.P1, relin, galois)
 }
 
 // UnmarshalKeyBundle reconstructs a bundle under ctx.

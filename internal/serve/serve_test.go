@@ -156,6 +156,48 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 }
 
+// TestCountersBookedBeforeReply pins the session loop's ordering: once
+// a client holds an inference's reply, the server's live counters —
+// inferences, latency samples and both byte directions — already
+// include it, with nothing folded in twice when the session closes.
+func TestCountersBookedBeforeReply(t *testing.T) {
+	backend, _ := testBackend(t, tinyNetwork)
+	srv := New(backend, Config{MaxSessions: 2})
+	client, err := nn.NewInferenceClient(tinyNetwork(), [32]byte{77})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientEnd, serverEnd := protocol.NewPipe()
+	defer clientEnd.Close()
+	done := make(chan error, 1)
+	go func() { done <- srv.ServeTransport(context.Background(), serverEnd) }()
+	if _, err := client.SetupSession(clientEnd, "booked"); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 3; i++ {
+		img := nn.SynthesizeImage(tinyNetwork(), 4, [32]byte{77, byte(i)})
+		if _, _, err := client.Infer(img, clientEnd); err != nil {
+			t.Fatal(err)
+		}
+		st := srv.Stats()
+		if st.Inferences != i || st.InferenceLatency.Count != i {
+			t.Errorf("after reply %d: inferences %d, latency samples %d", i, st.Inferences, st.InferenceLatency.Count)
+		}
+		if st.BytesUp != clientEnd.SentBytes() || st.BytesDown != clientEnd.ReceivedBytes() {
+			t.Errorf("after reply %d: server booked %d B up / %d B down, client moved %d / %d",
+				i, st.BytesUp, st.BytesDown, clientEnd.SentBytes(), clientEnd.ReceivedBytes())
+		}
+	}
+	clientEnd.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.BytesUp != clientEnd.SentBytes() || st.BytesDown != clientEnd.ReceivedBytes() {
+		t.Errorf("after close: server booked %d B up / %d B down, client moved %d / %d",
+			st.BytesUp, st.BytesDown, clientEnd.SentBytes(), clientEnd.ReceivedBytes())
+	}
+}
+
 // TestKeyCacheReconnect verifies the tentpole reconnect path: the
 // second session under the same ID completes an inference without
 // re-uploading evaluation keys, confirmed by bytes-up accounting.

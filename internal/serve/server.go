@@ -282,10 +282,21 @@ func (s *Server) ServeTransport(ctx context.Context, t protocol.Transport) error
 	s.acct.sessionsActive.Add(1)
 	start := time.Now()
 	var inferences int64
+	// Requests run over a gate that holds back the newest reply frame,
+	// so every request is booked before the frame its client waits on
+	// leaves: a client that has its reply reads counters that include
+	// the request.
+	gate := &replyGate{Transport: t}
+	var bookedUp, bookedDown int64
+	bookBytes := func() {
+		up, down := t.ReceivedBytes(), gate.SentBytes()
+		s.acct.bytesUp.Add(up - bookedUp)
+		s.acct.bytesDown.Add(down - bookedDown)
+		bookedUp, bookedDown = up, down
+	}
 	defer func() {
 		s.acct.sessionsActive.Add(-1)
-		s.acct.bytesUp.Add(t.ReceivedBytes())
-		s.acct.bytesDown.Add(t.SentBytes())
+		bookBytes()
 		s.cfg.Logf("serve: session closed after %v: %d inference(s), %d B up / %d B down",
 			time.Since(start).Round(time.Millisecond), inferences, t.ReceivedBytes(), t.SentBytes())
 	}()
@@ -301,6 +312,7 @@ func (s *Server) ServeTransport(ctx context.Context, t protocol.Transport) error
 		sess = sess.WithExecutor(s.exec)
 	}
 	s.acct.setupLat.observe(time.Since(start))
+	bookBytes()
 
 	for {
 		if m, ok := t.(requestMarker); ok {
@@ -310,20 +322,28 @@ func (s *Server) ServeTransport(ctx context.Context, t protocol.Transport) error
 			return nil // graceful drain: stop between requests
 		}
 		reqStart := time.Now()
-		ops, err := sess.ServeOne(t)
+		n := inferences + 1
+		ops, err := sess.ServeOne(gate)
+		if err == nil {
+			inferences++
+			s.acct.inferences.Add(1)
+			if tenant != "" {
+				s.tenants.addInference(tenant)
+			}
+			s.acct.addOps(ops)
+			bookBytes()
+			s.acct.inferLat.observe(time.Since(reqStart))
+		}
+		// The request is booked; now release its last reply frame.
+		if ferr := gate.flush(); err == nil {
+			err = ferr
+		}
 		if err != nil {
 			if s.sessionOver(t, err) {
 				return nil
 			}
-			return fmt.Errorf("inference %d failed: %w", inferences+1, err)
+			return fmt.Errorf("inference %d failed: %w", n, err)
 		}
-		inferences++
-		s.acct.inferences.Add(1)
-		if tenant != "" {
-			s.tenants.addInference(tenant)
-		}
-		s.acct.addOps(ops)
-		s.acct.inferLat.observe(time.Since(reqStart))
 	}
 }
 

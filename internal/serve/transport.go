@@ -62,3 +62,50 @@ type requestMarker interface {
 
 func (st *TimedTransport) markAwaitingRequest()    { st.MarkRequest() }
 func (st *TimedTransport) isAwaitingRequest() bool { return st.Idle() }
+
+// replyGate holds back the newest outgoing frame until the next call
+// on the transport or an explicit flush. The session loop serves each
+// request through it, books the request, then flushes: the frame a
+// client waits on last leaves only after the server's counters include
+// the request.
+type replyGate struct {
+	protocol.Transport
+	held    []byte
+	pending bool
+}
+
+// Send releases the previously held frame and holds msg.
+func (g *replyGate) Send(msg []byte) error {
+	if err := g.flush(); err != nil {
+		return err
+	}
+	g.held, g.pending = msg, true
+	return nil
+}
+
+// Recv releases the held frame before blocking on the peer.
+func (g *replyGate) Recv() ([]byte, error) {
+	if err := g.flush(); err != nil {
+		return nil, err
+	}
+	return g.Transport.Recv()
+}
+
+// SentBytes counts the held frame as sent (payload plus its 4-byte
+// length), as the transport will once it is flushed.
+func (g *replyGate) SentBytes() int64 {
+	n := g.Transport.SentBytes()
+	if g.pending {
+		n += int64(len(g.held)) + 4
+	}
+	return n
+}
+
+func (g *replyGate) flush() error {
+	if !g.pending {
+		return nil
+	}
+	msg := g.held
+	g.held, g.pending = nil, false
+	return g.Transport.Send(msg)
+}
