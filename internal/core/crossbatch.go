@@ -19,13 +19,14 @@ import (
 //     session, so one prepared plaintext serves every item — a
 //     PlainCache carries it across items and across batches;
 //   - the rotation schedules fuse into one flat worker-pool dispatch
-//     (bfv.RotateRowsHoistedBatch), so key switches from different
-//     requests overlap instead of serializing per request.
+//     over (item, step), so key switches from different requests
+//     overlap instead of serializing per request.
 //
 // Each item still pays its own hoisted decomposition — the decompose
-// transforms c1, which differs per request — and its own MulPlain/Add
-// chain, evaluated in exactly Apply's term order so per-item outputs
-// are byte-identical to the serial path.
+// transforms c1, which differs per request — and its own NTT-domain
+// multiply-accumulate chain (MulPlainAcc, one inverse NTT per output).
+// All of it is exact modular arithmetic, so per-item outputs do not
+// depend on what else shares the batch.
 
 // BatchInput is one session's work item in a cross-request batch: its
 // packed input ciphertext and the evaluator holding that session's
@@ -145,8 +146,17 @@ func (pc *PlainCache) getOrBuild(op any, idx int, build func() (*bfv.PlaintextMu
 
 // ApplyBatch evaluates the convolution over several sessions' packed
 // inputs at once, returning per-item output groups and op counts in
-// item order. Results are byte-identical to calling Apply per item;
-// cache may be nil (no plaintext sharing across batches).
+// item order; Apply is the one-item case. cache may be nil (no
+// plaintext sharing across batches).
+//
+// The layer stays in the NTT domain of the data ring from rotation to
+// output (DESIGN.md §13): each item is decomposed once, every distinct
+// rotation is emitted NTT-resident by RotateRowsLazyNTT (step 0 is the
+// input's ToNTT), each (item, group) pair folds its terms into one
+// accumulator with MulPlainAcc in (d, ki) order, and FromNTT pays one
+// inverse NTT per output group. The inverse NTT is linear mod q, so the
+// outputs are byte-identical to rotating, multiplying and adding
+// materialized ciphertexts.
 func (c *Conv2D) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cache *PlainCache) ([][]*bfv.Ciphertext, []OpCounts, error) {
 	if c.Weights == nil {
 		return nil, nil, fmt.Errorf("core: ApplyBatch on a spec-only convolution (no weights)")
@@ -154,52 +164,55 @@ func (c *Conv2D) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cac
 	if len(items) == 0 {
 		return nil, nil, nil
 	}
-	offsets := c.kernelOffsets()
-	l := c.Layout
-
 	// One rotation plan serves every item: the steps depend only on the
 	// layer geometry.
-	type rotKey struct{ d, k int }
-	stepOf := make(map[rotKey]int)
-	seen := make(map[int]bool)
-	var uniq []int
-	for d := 0; d < c.Cb; d++ {
-		for ki, delta := range offsets {
-			steps := d*l.Stride + delta
-			steps = ((steps % c.rowSize) + c.rowSize) % c.rowSize
-			stepOf[rotKey{d, ki}] = steps
-			if steps != 0 && !seen[steps] {
-				seen[steps] = true
-				uniq = append(uniq, steps)
+	steps, termRot := c.rotationPlan()
+	nk := c.Spec.KH * c.Spec.KW
+
+	// Per-item decomposition of the input (inherently per-request — it
+	// transforms c1), run serially: each already fans its digit NTTs.
+	dcs := make([]*bfv.DecomposedCiphertext, len(items))
+	rots := make([][]*bfv.NTTCiphertext, len(items))
+	defer func() {
+		for i, dc := range dcs {
+			if dc != nil {
+				dc.Release()
+			}
+			for _, r := range rots[i] {
+				if r != nil {
+					items[i].Ev.RecycleNTT(r)
+				}
 			}
 		}
-	}
-	sets := make([]bfv.HoistedRotationSet, len(items))
-	for i, it := range items {
-		sets[i] = bfv.HoistedRotationSet{Ev: it.Ev, Ct: it.Ct, Steps: uniq}
-	}
-	rotOuts, err := bfv.RotateRowsHoistedBatch(sets)
-	if err != nil {
-		return nil, nil, err
-	}
-	rotByStep := make([]map[int]*bfv.Ciphertext, len(items))
+	}()
 	opsOut := make([]OpCounts, len(items))
 	for i, it := range items {
-		m := make(map[int]*bfv.Ciphertext, len(uniq)+1)
-		m[0] = it.Ct
-		for j, s := range uniq {
-			m[s] = rotOuts[i][j]
+		dc, err := it.Ev.Decompose(it.Ct)
+		if err != nil {
+			return nil, nil, err
 		}
-		rotByStep[i] = m
-		opsOut[i].Rotations = len(uniq)
+		dcs[i] = dc
+		rots[i] = make([]*bfv.NTTCiphertext, len(steps))
+		opsOut[i].Rotations = len(steps) - 1
 	}
 
-	// Accumulation fans out over (item, group) pairs; within a pair the
-	// terms run in Apply's (d, ki) order, so each item's group output is
-	// byte-identical to the serial path. The prepared weight plaintext
-	// of each term is fetched (or built once) from the shared cache —
-	// the cross-request saving: one encode+NTT pipeline per term per
-	// model, not per request.
+	// Every (item, step) rotation across the batch in one flat dispatch.
+	nRot := len(items) * len(steps)
+	rotErrs := make([]error, nRot)
+	par.For(nRot, func(k int) {
+		item, j := k/len(steps), k%len(steps)
+		rots[item][j], rotErrs[k] = items[item].Ev.RotateRowsLazyNTT(dcs[item], steps[j])
+	})
+	for _, err := range rotErrs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+
+	// Accumulation fans out over (item, group) pairs. The prepared
+	// weight plaintext of each term is fetched (or built once) from the
+	// shared cache — the cross-request saving: one encode+NTT pipeline
+	// per term per model, not per request.
 	groups := c.Groups()
 	outs := make([][]*bfv.Ciphertext, len(items))
 	for i := range outs {
@@ -210,10 +223,10 @@ func (c *Conv2D) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cac
 	par.For(len(items)*groups, func(p int) {
 		item, g := p/groups, p%groups
 		ev := items[item].Ev
-		var acc *bfv.Ciphertext
+		var acc *bfv.NTTCiphertext
 		for d := 0; d < c.Cb; d++ {
-			for ki := range offsets {
-				pm, err := cache.getOrBuild(c, (g*c.Cb+d)*len(offsets)+ki, func() (*bfv.PlaintextMul, error) {
+			for ki := 0; ki < nk; ki++ {
+				pm, err := cache.getOrBuild(c, (g*c.Cb+d)*nk+ki, func() (*bfv.PlaintextMul, error) {
 					diag := c.weightDiag(g, d, ki, slots)
 					if diag == nil {
 						return nil, nil
@@ -231,21 +244,20 @@ func (c *Conv2D) ApplyBatch(ecd *bfv.Encoder, items []BatchInput, slots int, cac
 				if pm == nil {
 					continue
 				}
-				term := ev.MulPlain(rotByStep[item][stepOf[rotKey{d, ki}]], pm)
-				pairOps[p].PlainMults++
 				if acc == nil {
-					acc = term
+					acc = ev.NewNTTAccumulator()
 				} else {
-					acc = ev.Add(acc, term)
 					pairOps[p].Adds++
 				}
+				ev.MulPlainAcc(acc, rots[item][termRot[d*nk+ki]], pm)
+				pairOps[p].PlainMults++
 			}
 		}
 		if acc == nil {
 			pairErrs[p] = fmt.Errorf("core: group %d has no contributing weights", g)
 			return
 		}
-		outs[item][g] = acc
+		outs[item][g] = ev.FromNTT(acc)
 	})
 	for p, err := range pairErrs {
 		if err != nil {

@@ -32,9 +32,9 @@ import (
 // 2ms) is only ever waited out when there are peers worth waiting for.
 //
 // Correctness: core.ApplyBatch is byte-identical per item to Apply
-// (the serial oracle), so batched and serial connections may be mixed
-// freely. If a round's ApplyBatch fails, the leader falls back to
-// serial per-item Apply so one session's bad input (e.g. a missing
+// (a one-item batch), so batched and serial connections may be mixed
+// freely. If a round's ApplyBatch fails, the leader replays each item
+// as its own one-item round so one session's bad input (e.g. a missing
 // Galois key) cannot poison its batch-mates — error semantics stay
 // exactly those of the serial path.
 
@@ -211,23 +211,12 @@ func (x *batchExecutor) runGroup(group []*batchItem) {
 		return
 	}
 	// One item poisoned the batch (bad ciphertext, missing rotation
-	// key): replay everyone serially so only the guilty session fails.
+	// key): replay everyone as a one-item round, still on the shared
+	// plaintext cache, so only the guilty session fails.
 	x.serialRescue.Add(int64(len(group)))
 	for _, it := range group {
-		it.done <- x.runSerial(it)
+		x.runGroup([]*batchItem{it})
 	}
-}
-
-func (x *batchExecutor) runSerial(it *batchItem) batchResult {
-	if it.conv != nil {
-		outs, ops, err := it.conv.Apply(it.ev, x.ecd, it.ct, it.slots)
-		return batchResult{outs: outs, ops: ops, err: err}
-	}
-	out, ops, err := it.fc.Apply(it.ev, x.ecd, it.ct, it.slots)
-	if err != nil {
-		return batchResult{err: err}
-	}
-	return batchResult{outs: []*bfv.Ciphertext{out}, ops: ops}
 }
 
 // BatchStats is a point-in-time snapshot of the executor.

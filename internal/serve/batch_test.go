@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -191,6 +192,109 @@ func TestBatchExecutorSoloBypass(t *testing.T) {
 	}
 	if st.PlainCache.Entries == 0 {
 		t.Error("solo bypass skipped the shared plaintext cache")
+	}
+}
+
+// TestBatchExecutorSerialRescue pins the poisoned-batch fallback: two
+// sessions coalesce on one conv layer, but one session's evaluator
+// lacks a Galois key the layer needs, so the round's ApplyBatch fails.
+// The executor must replay both items as one-item rounds: the guilty
+// session gets the missing-key error, the other gets outputs
+// byte-identical to its solo run, both count as serial rescues, and
+// the replay builds its weight plaintexts into the shared cache.
+func TestBatchExecutorSerialRescue(t *testing.T) {
+	ctx, err := bfv.NewContext(bfv.PresetTest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := core.ConvSpec{InH: 8, InW: 8, InC: 2, KH: 3, KW: 3, OutC: 3}
+	src := sampling.NewSource([32]byte{35}, "serve-batch-rescue")
+	weights := make([][][]int64, spec.OutC)
+	for o := range weights {
+		weights[o] = make([][]int64, spec.InC)
+		for c := range weights[o] {
+			weights[o][c] = make([]int64, spec.KH*spec.KW)
+			for k := range weights[o][c] {
+				weights[o][c][k] = int64(src.Intn(7)) - 3
+			}
+		}
+	}
+	conv, err := core.NewConv2D(spec, weights, ctx.Params.N()/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const sessions, guilty = 2, 1
+	ecd := bfv.NewEncoder(ctx)
+	slots := ctx.Params.Slots()
+	evs := make([]*bfv.Evaluator, sessions)
+	cts := make([]*bfv.Ciphertext, sessions)
+	for i := 0; i < sessions; i++ {
+		steps := conv.RotationSteps()
+		if i == guilty {
+			steps = steps[1:]
+		}
+		kg := bfv.NewKeyGenerator(ctx, [32]byte{100 + byte(i)})
+		sk := kg.GenSecretKey()
+		evs[i] = bfv.NewEvaluator(ctx, kg.GenRelinearizationKey(sk), kg.GenRotationKeys(sk, steps...))
+		enc := bfv.NewEncryptor(ctx, kg.GenPublicKey(sk), [32]byte{110 + byte(i)})
+		img := make([][]int64, spec.InC)
+		for c := range img {
+			img[c] = make([]int64, spec.InH*spec.InW)
+			for j := range img[c] {
+				img[c][j] = int64(src.Intn(15)) - 7
+			}
+		}
+		packed, err := conv.PackInput(img, slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cts[i], err = enc.EncryptInts(packed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solo, _, err := conv.Apply(evs[0], ecd, cts[0], slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Depth-triggered round, as in TestBatchExecutorCoalesces: if the two
+	// submissions failed to coalesce the test would hang on the window.
+	x := newBatchExecutor(ecd, sessions, 10*time.Second, 0)
+	outs := make([][]*bfv.Ciphertext, sessions)
+	errs := make([]error, sessions)
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i], _, errs[i] = x.ExecConv(0, conv, evs[i], cts[i], slots)
+		}(i)
+	}
+	wg.Wait()
+
+	if errs[guilty] == nil || !strings.Contains(errs[guilty].Error(), "missing Galois key") {
+		t.Errorf("guilty session: error %v, want a missing Galois key", errs[guilty])
+	}
+	if errs[0] != nil {
+		t.Fatalf("innocent session failed: %v", errs[0])
+	}
+	if len(outs[0]) != len(solo) {
+		t.Fatalf("innocent session got %d groups, solo %d", len(outs[0]), len(solo))
+	}
+	for g := range solo {
+		for p := range solo[g].Value {
+			if !ctx.RingQ.Equal(outs[0][g].Value[p], solo[g].Value[p]) {
+				t.Errorf("innocent session group %d poly %d differs from its solo run", g, p)
+			}
+		}
+	}
+	st := x.stats()
+	if st.SerialRescues != sessions {
+		t.Errorf("SerialRescues = %d, want %d", st.SerialRescues, sessions)
+	}
+	if st.PlainCache.Entries == 0 {
+		t.Error("serial rescue bypassed the shared plaintext cache")
 	}
 }
 
